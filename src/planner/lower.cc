@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "mpi/mpi_ops.h"
+#include "planner/passes.h"
 #include "serverless/serverless_ops.h"
 #include "suboperators/agg_ops.h"
 #include "suboperators/join_ops.h"
@@ -33,16 +34,24 @@ std::string AllocName(LoweringContext* ctx, const std::string& base) {
 void AddScan(PipelinePlan* plan, const std::string& name,
              const LogicalPlan& n, const LoweringContext& ctx) {
   const Schema& pruned = n.schema;
+  ExprPtr filter = n.scan_filter;
   SubOpPtr rows;
   switch (ctx.scan_leaf) {
     case ScanLeafKind::kMemoryRows: {
-      // In-memory base table fragment: prune + filter record-wise.
+      // In-memory base table fragment: filter, then prune. The filter
+      // runs on the table rows, so the prune Map copies only the
+      // survivors, through the Filter's selection. A filter that cannot
+      // be remapped onto table columns stays above the prune.
+      rows = std::make_unique<RowScan>(ParamItem(n.table));
+      if (ExprPtr on_table = RemapColumns(filter, n.scan_cols)) {
+        rows = std::make_unique<Filter>(std::move(rows), std::move(on_table));
+        filter = nullptr;
+      }
       std::vector<MapOutput> prune;
       prune.reserve(n.scan_cols.size());
       for (int c : n.scan_cols) prune.push_back(MapOutput::Pass(c));
-      rows = std::make_unique<MapOp>(
-          std::make_unique<RowScan>(ParamItem(n.table)), pruned,
-          std::move(prune));
+      rows = std::make_unique<MapOp>(std::move(rows), pruned,
+                                     std::move(prune));
       break;
     }
     case ScanLeafKind::kColumnFile: {
@@ -68,8 +77,8 @@ void AddScan(PipelinePlan* plan, const std::string& name,
       return;
     }
   }
-  if (n.scan_filter != nullptr) {
-    rows = std::make_unique<Filter>(std::move(rows), n.scan_filter);
+  if (filter != nullptr) {
+    rows = std::make_unique<Filter>(std::move(rows), std::move(filter));
   }
   plan->Add(name, std::make_unique<MaterializeRowVector>(std::move(rows),
                                                          pruned));

@@ -162,78 +162,7 @@ Schema ReduceByKey::MakeOutputSchema(const Schema& in,
   return Schema(std::move(fields));
 }
 
-Status ReduceByKey::Open(ExecContext* ctx) {
-  MODULARIS_RETURN_NOT_OK(SubOperator::Open(ctx));
-  states_ = RowVector::Make(out_schema_);
-  i64_map_.Clear();
-  byte_table_.Clear();
-  keyless_partials_.reset();
-  keyless_fill_ = 0;
-  consumed_ = false;
-  emit_pos_ = 0;
-  mem_charge_.Bind(ctx->budget);
-
-  single_i64_key_ =
-      key_cols_.size() == 1 &&
-      (in_schema_.field(key_cols_[0]).type == AtomType::kInt64 ||
-       in_schema_.field(key_cols_[0]).type == AtomType::kInt32 ||
-       in_schema_.field(key_cols_[0]).type == AtomType::kDate);
-  if (!single_i64_key_ && !key_cols_.empty()) {
-    codec_ = KeyCodec(in_schema_, key_cols_);
-    // Fused serialize+hash program for the chunked byte-key kernels.
-    // Byte-identical to SerializeKeys + HashKeysSpan by construction.
-    key_prog_ = ctx->options.enable_expr_bytecode
-                    ? KeyProgram(in_schema_, key_cols_)
-                    : KeyProgram();
-  }
-
-  // Compile the update plan: direct offsets when every aggregate input is
-  // a bare column (the fused/JIT-analog path).
-  slots_.clear();
-  compiled_ = ctx->options.enable_fusion;
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    const AggSpec& a = aggs_[i];
-    AggSlot slot;
-    slot.kind = a.kind;
-    slot.expr = a.input.get();
-    slot.dst_offset = out_schema_.offset(key_cols_.size() + i);
-    slot.dst_float = a.out_type == AtomType::kFloat64;
-    slot.src_col = a.input == nullptr ? -1 : a.input->AsColumnIndex();
-    if (slot.src_col >= 0) {
-      const Field& f = in_schema_.field(slot.src_col);
-      slot.src_offset = in_schema_.offset(slot.src_col);
-      slot.src_wide =
-          f.type == AtomType::kInt64 || f.type == AtomType::kFloat64;
-      slot.src_float = f.type == AtomType::kFloat64;
-    } else {
-      slot.src_offset = 0;
-      slot.src_wide = false;
-      slot.src_float = false;
-      if (a.input != nullptr) compiled_ = false;
-    }
-    slots_.push_back(slot);
-  }
-  return Status::OK();
-}
-
 namespace {
-
-inline double LoadNumeric(const uint8_t* row, const void* /*unused*/,
-                          uint32_t offset, bool wide, bool is_float) {
-  if (is_float) {
-    double v;
-    std::memcpy(&v, row + offset, sizeof(v));
-    return v;
-  }
-  if (wide) {
-    int64_t v;
-    std::memcpy(&v, row + offset, sizeof(v));
-    return static_cast<double>(v);
-  }
-  int32_t v;
-  std::memcpy(&v, row + offset, sizeof(v));
-  return v;
-}
 
 inline void StoreNumeric(uint8_t* row, uint32_t offset, bool is_float,
                          double v) {
@@ -256,23 +185,169 @@ inline double LoadState(const uint8_t* row, uint32_t offset, bool is_float) {
   return static_cast<double>(i);
 }
 
+/// One aggregate's update over a chunk. Inputs arrive as doubles (the
+/// aggregation value domain, Item::AsDouble); integer states truncate
+/// each input back to i64 before folding it.
+template <AggKind kKind, typename T>
+void UpdateKernel(uint8_t* base, uint32_t stride, uint32_t offset,
+                  const uint32_t* st, const double* v, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    uint8_t* p = base + static_cast<size_t>(st[i]) * stride + offset;
+    T cur;
+    std::memcpy(&cur, p, sizeof(cur));
+    if constexpr (kKind == AggKind::kCount) {
+      cur += 1;
+    } else {
+      const T x = static_cast<T>(v[i]);
+      if constexpr (kKind == AggKind::kSum) cur += x;
+      if constexpr (kKind == AggKind::kMin) cur = std::min(cur, x);
+      if constexpr (kKind == AggKind::kMax) cur = std::max(cur, x);
+    }
+    std::memcpy(p, &cur, sizeof(cur));
+  }
+}
+
+/// Gathers a bare-column aggregate input of the rows sel[0..n) as doubles.
+template <typename T>
+void LoadColumn(const RowSpan& rows, const uint32_t* sel, size_t n,
+                uint32_t offset, double* out) {
+  for (size_t i = 0; i < n; ++i) {
+    T v;
+    std::memcpy(&v, rows.row_ptr(sel[i]) + offset, sizeof(v));
+    out[i] = static_cast<double>(v);
+  }
+}
+
+/// The selection [0, N) of a contiguous chunk.
+template <size_t N>
+const uint32_t* IdentitySel() {
+  static const std::vector<uint32_t> kIota = [] {
+    std::vector<uint32_t> v(N);
+    for (uint32_t i = 0; i < N; ++i) v[i] = i;
+    return v;
+  }();
+  return kIota.data();
+}
+
+/// Positions [base, base + N) of a row set addressed as (rows, sel), sel
+/// null meaning contiguous rows, as the span + strictly ascending
+/// selection the kernels take.
+struct ChunkRef {
+  RowSpan rows;
+  const uint32_t* sel;
+};
+template <size_t N>
+ChunkRef ChunkAt(const RowSpan& rows, const uint32_t* sel, size_t base) {
+  if (sel != nullptr) return {rows, sel + base};
+  return {RowSpan{rows.data + base * rows.stride, rows.stride, rows.schema},
+          IdentitySel<N>()};
+}
+
+/// Widens a batch-evaluated aggregate input to the double value domain
+/// (Item::AsDouble semantics); a non-numeric value is a type error.
+Status ToDoubles(const BatchColumn& v, size_t n, double* out) {
+  auto type_error = [] {
+    return Status::InvalidArgument(
+        "ReduceByKey: aggregate input produced a non-numeric value");
+  };
+  switch (v.tag) {
+    case BatchTag::kI64:
+      for (size_t i = 0; i < n; ++i) out[i] = static_cast<double>(v.i64[i]);
+      return Status::OK();
+    case BatchTag::kF64:
+      std::copy(v.f64.begin(), v.f64.begin() + n, out);
+      return Status::OK();
+    case BatchTag::kItem:
+      for (size_t i = 0; i < n; ++i) {
+        const Item& item = v.items[i];
+        if (!item.is_i64() && !item.is_f64()) return type_error();
+        out[i] = item.AsDouble();
+      }
+      return Status::OK();
+    case BatchTag::kStr:
+      break;
+  }
+  return type_error();
+}
+
 }  // namespace
 
-uint32_t ReduceByKey::StateFor(const RowRef& row) {
-  bool inserted = false;
-  uint32_t state;
-  if (single_i64_key_) {
-    state = i64_map_.FindOrInsert(KeyAt(row, key_cols_[0]), &inserted);
-  } else {
-    const uint32_t ks = codec_.key_size();
-    key_scratch_.resize(ks);
-    codec_.SerializeKey(row, key_scratch_.data());
-    state = byte_table_.FindOrInsert(key_scratch_.data(), ks,
-                                     HashKeyBytes(key_scratch_.data(), ks),
-                                     &inserted);
+ReduceByKey::UpdateFn ReduceByKey::ResolveUpdateFn(AggKind kind,
+                                                   bool dst_float) {
+  switch (kind) {
+    case AggKind::kSum:
+      return dst_float ? &UpdateKernel<AggKind::kSum, double>
+                       : &UpdateKernel<AggKind::kSum, int64_t>;
+    case AggKind::kCount:
+      return dst_float ? &UpdateKernel<AggKind::kCount, double>
+                       : &UpdateKernel<AggKind::kCount, int64_t>;
+    case AggKind::kMin:
+      return dst_float ? &UpdateKernel<AggKind::kMin, double>
+                       : &UpdateKernel<AggKind::kMin, int64_t>;
+    case AggKind::kMax:
+      return dst_float ? &UpdateKernel<AggKind::kMax, double>
+                       : &UpdateKernel<AggKind::kMax, int64_t>;
   }
-  if (inserted) InitState(states_.get(), row);
-  return state;
+  return nullptr;
+}
+
+Status ReduceByKey::Open(ExecContext* ctx) {
+  MODULARIS_RETURN_NOT_OK(SubOperator::Open(ctx));
+  states_ = RowVector::Make(out_schema_);
+  scratch_.map.Clear();
+  scratch_.table.Clear();
+  keyless_partials_.reset();
+  keyless_fill_ = 0;
+  consumed_ = false;
+  emit_pos_ = 0;
+  mem_charge_.Bind(ctx->budget);
+
+  single_i64_key_ =
+      key_cols_.size() == 1 &&
+      (in_schema_.field(key_cols_[0]).type == AtomType::kInt64 ||
+       in_schema_.field(key_cols_[0]).type == AtomType::kInt32 ||
+       in_schema_.field(key_cols_[0]).type == AtomType::kDate);
+  if (!single_i64_key_ && !key_cols_.empty()) {
+    codec_ = KeyCodec(in_schema_, key_cols_);
+    // Fused serialize+hash program for the chunked byte-key kernels.
+    // Byte-identical to SerializeKeys + HashKeysSpan by construction.
+    key_prog_ = ctx->options.enable_expr_bytecode
+                    ? KeyProgram(in_schema_, key_cols_)
+                    : KeyProgram();
+  }
+
+  // Compile the update plan: a direct offset for a bare-column input, a
+  // value program (or the EvalBatch kernels with the toggle off) for a
+  // computed one, and the update kernel of each (kind, state type).
+  slots_.clear();
+  int64_t fallbacks = 0;
+  for (size_t i = 0; i < aggs_.size(); ++i) {
+    const AggSpec& a = aggs_[i];
+    AggSlot slot{};
+    slot.kind = a.kind;
+    slot.dst_offset = out_schema_.offset(key_cols_.size() + i);
+    slot.dst_float = a.out_type == AtomType::kFloat64;
+    slot.update = ResolveUpdateFn(a.kind, slot.dst_float);
+    slot.src_col = a.input == nullptr ? -1 : a.input->AsColumnIndex();
+    if (slot.src_col >= 0) {
+      const Field& f = in_schema_.field(slot.src_col);
+      slot.src_offset = in_schema_.offset(slot.src_col);
+      slot.src_wide =
+          f.type == AtomType::kInt64 || f.type == AtomType::kFloat64;
+      slot.src_float = f.type == AtomType::kFloat64;
+    } else if (a.input != nullptr && a.kind != AggKind::kCount) {
+      // COUNT never reads its input, so only value aggregates compile.
+      slot.expr = a.input.get();
+      if (ctx->options.enable_expr_bytecode) {
+        slot.prog = std::make_unique<BcProgram>(
+            BcProgram::CompileValue(a.input, in_schema_));
+        fallbacks += static_cast<int64_t>(slot.prog->fallback_count());
+      }
+    }
+    slots_.push_back(std::move(slot));
+  }
+  if (fallbacks > 0) AddStatCounter("expr.bc_fallback.value", fallbacks);
+  return Status::OK();
 }
 
 void ReduceByKey::InitState(RowVector* states, const RowRef& row) const {
@@ -321,52 +396,129 @@ void ReduceByKey::InitStateAggs(uint8_t* dst) const {
   }
 }
 
-void ReduceByKey::UpdateState(RowVector* states, uint32_t state,
-                              const RowRef& row) {
-  UpdateStateRow(states->mutable_row(state), row);
-}
-
-void ReduceByKey::UpdateStateRow(uint8_t* dst, const RowRef& row) const {
-  for (const AggSlot& s : slots_) {
-    double v = 0;
-    if (s.kind != AggKind::kCount) {
-      if (compiled_ && s.src_col >= 0) {
-        v = LoadNumeric(row.data(), nullptr, s.src_offset, s.src_wide,
-                        s.src_float);
-      } else {
-        v = s.expr->Eval(row).AsDouble();
+void ReduceByKey::LookupStates(const RowSpan& rows, const uint32_t* sel,
+                               size_t n, const uint32_t* idx,
+                               RowVector* states,
+                               std::vector<uint32_t>* first,
+                               AggScratch* s) const {
+  s->states.resize(n);
+  bool inserted = false;
+  if (single_i64_key_) {
+    for (size_t i = 0; i < n; ++i) {
+      const RowRef row = rows.row(sel[i]);
+      s->states[i] = s->map.FindOrInsert(KeyAt(row, key_cols_[0]), &inserted);
+      if (inserted) {
+        InitState(states, row);
+        if (first != nullptr) first->push_back(idx[i]);
       }
     }
-    if (s.dst_float) {
-      double cur = LoadState(dst, s.dst_offset, true);
-      switch (s.kind) {
-        case AggKind::kSum: cur += v; break;
-        case AggKind::kCount: cur += 1; break;
-        case AggKind::kMin: cur = std::min(cur, v); break;
-        case AggKind::kMax: cur = std::max(cur, v); break;
-      }
-      std::memcpy(dst + s.dst_offset, &cur, sizeof(cur));
-    } else {
-      int64_t cur;
-      std::memcpy(&cur, dst + s.dst_offset, sizeof(cur));
-      int64_t iv = static_cast<int64_t>(v);
-      switch (s.kind) {
-        case AggKind::kSum: cur += iv; break;
-        case AggKind::kCount: cur += 1; break;
-        case AggKind::kMin: cur = std::min(cur, iv); break;
-        case AggKind::kMax: cur = std::max(cur, iv); break;
-      }
-      std::memcpy(dst + s.dst_offset, &cur, sizeof(cur));
-    }
-  }
-}
-
-void ReduceByKey::Accumulate(const RowRef& row) {
-  if (key_cols_.empty()) {
-    AccumulateKeylessRow(row);
     return;
   }
-  UpdateState(states_.get(), StateFor(row), row);
+  // Byte keys: serialize + hash the chunk, then probe.
+  const uint32_t ks = codec_.key_size();
+  s->keys.resize(kKeyChunkRows * ks);
+  s->hashes.resize(kKeyChunkRows);
+  uint8_t* keys = s->keys.data();
+  if (sel[n - 1] - sel[0] == n - 1) {  // contiguous (sel is ascending)
+    if (key_prog_.valid()) {
+      key_prog_.SerializeAndHash(rows, sel[0], n, keys, s->hashes.data());
+    } else {
+      codec_.SerializeKeys(rows, sel[0], n, keys);
+      HashKeysSpan(keys, n, ks, s->hashes.data());
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      codec_.SerializeKey(rows.row(sel[i]), keys + i * ks);
+    }
+    HashKeysSpan(keys, n, ks, s->hashes.data());
+  }
+  for (size_t i = 0; i < n; ++i) {
+    s->states[i] =
+        s->table.FindOrInsert(keys + i * ks, ks, s->hashes[i], &inserted);
+    if (inserted) {
+      InitState(states, rows.row(sel[i]));
+      if (first != nullptr) first->push_back(idx[i]);
+    }
+  }
+}
+
+Status ReduceByKey::UpdateStates(const RowSpan& rows, const uint32_t* sel,
+                                 size_t n, RowVector* states,
+                                 AggScratch* s) const {
+  s->vals.resize(kKeyChunkRows);
+  double* vals = s->vals.data();
+  uint8_t* base = states->mutable_data();
+  const uint32_t stride = states->row_size();
+  for (const AggSlot& slot : slots_) {
+    if (slot.src_col >= 0 && slot.kind != AggKind::kCount) {
+      if (slot.src_float) {
+        LoadColumn<double>(rows, sel, n, slot.src_offset, vals);
+      } else if (slot.src_wide) {
+        LoadColumn<int64_t>(rows, sel, n, slot.src_offset, vals);
+      } else {
+        LoadColumn<int32_t>(rows, sel, n, slot.src_offset, vals);
+      }
+    } else if (slot.expr != nullptr) {
+      BatchColumn* v = s->batch.AcquireColumn();
+      Status st = slot.prog != nullptr
+                      ? slot.prog->RunValue(rows, sel, n, v, &s->bc)
+                      : slot.expr->EvalBatch(rows, sel, n, v, &s->batch);
+      if (st.ok()) st = ToDoubles(*v, n, vals);
+      s->batch.ReleaseColumn();
+      MODULARIS_RETURN_NOT_OK(st);
+    }
+    slot.update(base, stride, slot.dst_offset, s->states.data(), vals, n);
+  }
+  return Status::OK();
+}
+
+Status ReduceByKey::AggregateRows(const RowSpan& rows, const uint32_t* sel,
+                                  size_t n, const uint32_t* idx,
+                                  RowVector* states,
+                                  std::vector<uint32_t>* first,
+                                  AggScratch* s) const {
+  for (size_t base = 0; base < n; base += kKeyChunkRows) {
+    const size_t m = std::min(n - base, kKeyChunkRows);
+    const ChunkRef c = ChunkAt<kKeyChunkRows>(rows, sel, base);
+    LookupStates(c.rows, c.sel, m, idx == nullptr ? nullptr : idx + base,
+                 states, first, s);
+    MODULARIS_RETURN_NOT_OK(UpdateStates(c.rows, c.sel, m, states, s));
+  }
+  return Status::OK();
+}
+
+Status ReduceByKey::Accumulate(const RowSpan& rows, const uint32_t* sel,
+                               size_t n) {
+  if (key_cols_.empty()) return AccumulateKeyless(rows, sel, n);
+  return AggregateRows(rows, sel, n, nullptr, states_.get(), nullptr,
+                       &scratch_);
+}
+
+Status ReduceByKey::AccumulateKeyless(const RowSpan& rows,
+                                      const uint32_t* sel, size_t n) {
+  // Rows fold into one partial per kKeylessChunkRows of the stream, so a
+  // chunk never straddles a partial boundary.
+  for (size_t done = 0; done < n;) {
+    if (keyless_fill_ == 0) {
+      if (keyless_partials_ == nullptr) {
+        keyless_partials_ = RowVector::Make(out_schema_);
+      }
+      keyless_partials_->AppendRow();
+      InitStateAggs(
+          keyless_partials_->mutable_row(keyless_partials_->size() - 1));
+    }
+    const size_t m = std::min(
+        {n - done, kKeylessChunkRows - keyless_fill_, kKeyChunkRows});
+    scratch_.states.assign(
+        m, static_cast<uint32_t>(keyless_partials_->size() - 1));
+    const ChunkRef c = ChunkAt<kKeyChunkRows>(rows, sel, done);
+    MODULARIS_RETURN_NOT_OK(
+        UpdateStates(c.rows, c.sel, m, keyless_partials_.get(), &scratch_));
+    done += m;
+    keyless_fill_ += m;
+    if (keyless_fill_ == kKeylessChunkRows) keyless_fill_ = 0;
+  }
+  return Status::OK();
 }
 
 void ReduceByKey::MergeStateRow(uint8_t* dst, const uint8_t* src) const {
@@ -396,68 +548,31 @@ void ReduceByKey::MergeStateRow(uint8_t* dst, const uint8_t* src) const {
   }
 }
 
-void ReduceByKey::AggregatePartition(
+Status ReduceByKey::AggregatePartition(
     const uint8_t* rows, size_t n, const Schema& schema, const uint32_t* idx,
-    RowVector* states, std::vector<uint32_t>* first, I64StateMap* map,
-    ByteStateTable* table, std::vector<uint8_t>* key_scratch,
-    std::vector<uint64_t>* hash_scratch, bool reset_tables) const {
-  // The partition's row count is a hard upper bound on its distinct keys,
-  // so reserving it guarantees zero mid-aggregation rehashes — but on a
-  // duplicate-heavy skewed partition (all rows of a hot key in one
-  // place) it would also allocate O(rows) slots for a handful of groups.
-  // Cap the up-front reservation; a partition with more rows than the
-  // cap falls back to (deterministic — table internals never affect the
-  // output) geometric growth only if it really holds that many groups.
-  constexpr size_t kMaxReserveKeys = size_t{1} << 20;
-  const size_t reserve = std::min(n, kMaxReserveKeys);
-  const uint32_t stride = schema.row_size();
-  if (single_i64_key_) {
-    if (reset_tables) {
-      map->Clear();
-      map->Reserve(reserve);
-    }
-    const uint8_t* p = rows;
-    for (size_t j = 0; j < n; ++j, p += stride) {
-      RowRef row(p, &schema);
-      bool inserted = false;
-      uint32_t state = map->FindOrInsert(KeyAt(row, key_cols_[0]), &inserted);
-      if (inserted) {
-        InitState(states, row);
-        first->push_back(idx[j]);
-      }
-      UpdateStateRow(states->mutable_row(state), row);
-    }
-    return;
-  }
+    RowVector* states, std::vector<uint32_t>* first, AggScratch* s,
+    bool reset_tables) const {
   if (reset_tables) {
-    table->Clear();
-    table->Reserve(reserve);
-  }
-  const uint32_t ks = codec_.key_size();
-  key_scratch->resize(kKeyChunkRows * ks);
-  hash_scratch->resize(kKeyChunkRows);
-  RowSpan span{rows, stride, &schema};
-  for (size_t base = 0; base < n; base += kKeyChunkRows) {
-    const size_t m = std::min(n - base, kKeyChunkRows);
-    if (key_prog_.valid()) {
-      key_prog_.SerializeAndHash(span, base, m, key_scratch->data(),
-                                 hash_scratch->data());
+    // The partition's row count is a hard upper bound on its distinct
+    // keys, so reserving it guarantees zero mid-aggregation rehashes —
+    // but on a duplicate-heavy skewed partition (all rows of a hot key in
+    // one place) it would also allocate O(rows) slots for a handful of
+    // groups. Cap the up-front reservation; a partition with more rows
+    // than the cap falls back to (deterministic — table internals never
+    // affect the output) geometric growth only if it really holds that
+    // many groups.
+    constexpr size_t kMaxReserveKeys = size_t{1} << 20;
+    const size_t reserve = std::min(n, kMaxReserveKeys);
+    if (single_i64_key_) {
+      s->map.Clear();
+      s->map.Reserve(reserve);
     } else {
-      codec_.SerializeKeys(span, base, m, key_scratch->data());
-      HashKeysSpan(key_scratch->data(), m, ks, hash_scratch->data());
-    }
-    for (size_t i = 0; i < m; ++i) {
-      bool inserted = false;
-      uint32_t state = table->FindOrInsert(key_scratch->data() + i * ks, ks,
-                                           (*hash_scratch)[i], &inserted);
-      RowRef row(rows + (base + i) * stride, &schema);
-      if (inserted) {
-        InitState(states, row);
-        first->push_back(idx[base + i]);
-      }
-      UpdateStateRow(states->mutable_row(state), row);
+      s->table.Clear();
+      s->table.Reserve(reserve);
     }
   }
+  return AggregateRows(RowSpan{rows, schema.row_size(), &schema}, nullptr, n,
+                       idx, states, first, s);
 }
 
 Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
@@ -553,20 +668,17 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
   std::vector<int64_t> wrehash(workers, 0);
   MorselCursor cursor(kFanout, 1, ctx_->cancel);
   MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int w) -> Status {
-    I64StateMap map;
-    ByteStateTable table;
-    std::vector<uint8_t> keys;
-    std::vector<uint64_t> hashes;
+    AggScratch s;
     size_t begin = 0, count = 0;
     while (cursor.Claim(&begin, &count)) {
       for (size_t p = begin; p < begin + count; ++p) {
         const size_t rows_p = prefix[p + 1] - prefix[p];
         if (rows_p == 0) continue;
         RowVectorPtr states = RowVector::Make(out_schema_);
-        AggregatePartition(scat->data() + prefix[p] * stride, rows_p, schema,
-                           idx.data() + prefix[p], states.get(),
-                           &part_first[p], &map, &table, &keys, &hashes);
-        wrehash[w] += single_i64_key_ ? map.rehashes() : table.rehashes();
+        MODULARIS_RETURN_NOT_OK(AggregatePartition(
+            scat->data() + prefix[p] * stride, rows_p, schema,
+            idx.data() + prefix[p], states.get(), &part_first[p], &s));
+        wrehash[w] += single_i64_key_ ? s.map.rehashes() : s.table.rehashes();
         part_states[p] = std::move(states);
       }
     }
@@ -663,7 +775,9 @@ void ReduceByKey::MergeAggRuns(std::vector<AggRun>* runs, RowVector* states,
 Status ReduceByKey::ConsumeAllSpill(RowVectorPtr input) {
   const size_t mem_limit = ctx_->options.memory_limit_bytes;
   const size_t quota = SpillQuotaBytes(mem_limit);
-  const Schema& schema = input->schema();
+  // A copy: `input` is released once scattered, and the drained vector
+  // may be the only owner of its schema.
+  const Schema schema = input->schema();
   const uint32_t stride = input->row_size();
   const size_t n = input->size();
   // Denied the in-memory path — counted whether the spill fallback is
@@ -760,17 +874,16 @@ Status ReduceByKey::ConsumeAllSpill(RowVectorPtr input) {
 
   // Aggregate partitions in ascending pid order; each yields one group
   // run ascending by global first-occurrence index.
-  SpillScratch scratch;
+  AggScratch scratch;
   std::vector<AggRun> runs;
   for (int p = 0; p < kFanout; ++p) {
     if (part_rows[p] == 0) continue;
     AggRun run;
     run.states = RowVector::Make(out_schema_);
     if (in_mem[p]) {
-      AggregatePartition(mem_parts[p]->data(), mem_parts[p]->size(), schema,
-                         mem_idx[p].data(), run.states.get(), &run.first,
-                         &scratch.map, &scratch.table, &scratch.keys,
-                         &scratch.hashes);
+      MODULARIS_RETURN_NOT_OK(AggregatePartition(
+          mem_parts[p]->data(), mem_parts[p]->size(), schema,
+          mem_idx[p].data(), run.states.get(), &run.first, &scratch));
       mem_parts[p].reset();
       std::vector<uint32_t>().swap(mem_idx[p]);
     } else {
@@ -791,7 +904,7 @@ Status ReduceByKey::AggregateSpilledPartition(storage::SpillSet* spill,
                                               size_t part_rows,
                                               const Schema& schema,
                                               AggRun* out,
-                                              SpillScratch* scratch) {
+                                              AggScratch* scratch) {
   if (ctx_->cancel != nullptr) MODULARIS_RETURN_NOT_OK(ctx_->cancel->Check());
   const size_t quota = SpillQuotaBytes(ctx_->options.memory_limit_bytes);
   const uint32_t stride = schema.row_size();
@@ -805,35 +918,16 @@ Status ReduceByKey::AggregateSpilledPartition(storage::SpillSet* spill,
     std::vector<uint32_t> idx;
     idx.reserve(part_rows);
     MODULARIS_RETURN_NOT_OK(spill->ReadPartition(pass, pid, part.get(), &idx));
-    AggregatePartition(part->data(), part->size(), schema, idx.data(),
-                       out->states.get(), &out->first, &scratch->map,
-                       &scratch->table, &scratch->keys, &scratch->hashes);
+    MODULARIS_RETURN_NOT_OK(AggregatePartition(
+        part->data(), part->size(), schema, idx.data(), out->states.get(),
+        &out->first, scratch));
     spill->DeletePartition(pass, pid);
     return Status::OK();
   }
 
   if (shift < kPartitionBits) {
-    // Hash exhausted: a partition every window maps to one id (a single
-    // hot key, practically). Stream the chunks through one accumulating
-    // table — its states are bounded by the partition's distinct keys,
-    // which is the operator's own irreducible output.
-    const int chunks = spill->NumChunks(pass, pid);
-    RowVectorPtr chunk = RowVector::Make(schema);
-    std::vector<uint32_t> idx;
-    bool reset = true;
-    for (int c = 0; c < chunks; ++c) {
-      chunk->Clear();
-      idx.clear();
-      MODULARIS_RETURN_NOT_OK(
-          spill->ReadChunk(pass, pid, c, chunk.get(), &idx));
-      AggregatePartition(chunk->data(), chunk->size(), schema, idx.data(),
-                         out->states.get(), &out->first, &scratch->map,
-                         &scratch->table, &scratch->keys, &scratch->hashes,
-                         /*reset_tables=*/reset);
-      reset = false;
-    }
-    spill->DeletePartition(pass, pid);
-    return Status::OK();
+    // Hash exhausted: a partition every window maps to one id.
+    return StreamSpilledPartition(spill, pass, pid, schema, out, scratch);
   }
 
   // Recursive pass: re-scatter by the next 8-bit hash window into a
@@ -885,10 +979,23 @@ Status ReduceByKey::AggregateSpilledPartition(storage::SpillSet* spill,
   }
   spill->DeletePartition(pass, pid);
   int64_t sub_parts = 0;
+  int last_sp = 0;
   for (int sp = 0; sp < kFanout; ++sp) {
-    if (sub_rows[sp] > 0) ++sub_parts;
+    if (sub_rows[sp] > 0) {
+      ++sub_parts;
+      last_sp = sp;
+    }
   }
   AddStatCounter("spill.partitions", sub_parts);
+  if (sub_parts == 1) {
+    // No progress: the window left every row in one sub-partition (a hot
+    // key, practically), and the windows below would not split it
+    // either. Stream it now instead of re-scattering it once per
+    // remaining window; its rows keep their global order, so the run is
+    // the one the recursion would have produced.
+    return StreamSpilledPartition(spill, sub_pass, last_sp, schema, out,
+                                  scratch);
+  }
 
   std::vector<AggRun> sub_runs;
   for (int sp = 0; sp < kFanout; ++sp) {
@@ -903,6 +1010,28 @@ Status ReduceByKey::AggregateSpilledPartition(storage::SpillSet* spill,
   return Status::OK();
 }
 
+Status ReduceByKey::StreamSpilledPartition(storage::SpillSet* spill,
+                                           int pass, int pid,
+                                           const Schema& schema, AggRun* out,
+                                           AggScratch* scratch) {
+  // One accumulating table over the chunks in order: its states are
+  // bounded by the partition's distinct keys, which is the operator's own
+  // irreducible output.
+  const int chunks = spill->NumChunks(pass, pid);
+  RowVectorPtr chunk = RowVector::Make(schema);
+  std::vector<uint32_t> idx;
+  for (int c = 0; c < chunks; ++c) {
+    chunk->Clear();
+    idx.clear();
+    MODULARIS_RETURN_NOT_OK(spill->ReadChunk(pass, pid, c, chunk.get(), &idx));
+    MODULARIS_RETURN_NOT_OK(AggregatePartition(
+        chunk->data(), chunk->size(), schema, idx.data(), out->states.get(),
+        &out->first, scratch, /*reset_tables=*/c == 0));
+  }
+  spill->DeletePartition(pass, pid);
+  return Status::OK();
+}
+
 Status ReduceByKey::ConsumeKeylessParallel(const RowVectorPtr& input,
                                            int workers) {
   const size_t n = input->size();
@@ -914,37 +1043,26 @@ Status ReduceByKey::ConsumeKeylessParallel(const RowVectorPtr& input,
   // match byte-for-byte.
   keyless_partials_->ResizeRows(chunks);
   MorselCursor cursor(chunks, 1, ctx_->cancel);
-  MODULARIS_RETURN_NOT_OK(ParallelFor(ctx_, workers, [&](int) -> Status {
+  const RowSpan span{input->data(), stride, &schema};
+  return ParallelFor(ctx_, workers, [&](int) -> Status {
+    AggScratch s;
     size_t begin = 0, count = 0;
     while (cursor.Claim(&begin, &count)) {
       for (size_t c = begin; c < begin + count; ++c) {
-        uint8_t* dst = keyless_partials_->mutable_row(c);
-        InitStateAggs(dst);
+        InitStateAggs(keyless_partials_->mutable_row(c));
         const size_t lo = c * kKeylessChunkRows;
         const size_t hi = std::min(n, lo + kKeylessChunkRows);
-        const uint8_t* p = input->data() + lo * stride;
-        for (size_t i = lo; i < hi; ++i, p += stride) {
-          UpdateStateRow(dst, RowRef(p, &schema));
+        for (size_t base = lo; base < hi; base += kKeyChunkRows) {
+          const size_t m = std::min(hi - base, kKeyChunkRows);
+          s.states.assign(m, static_cast<uint32_t>(c));
+          const ChunkRef ch = ChunkAt<kKeyChunkRows>(span, nullptr, base);
+          MODULARIS_RETURN_NOT_OK(
+              UpdateStates(ch.rows, ch.sel, m, keyless_partials_.get(), &s));
         }
       }
     }
     return Status::OK();
-  }));
-  return Status::OK();
-}
-
-void ReduceByKey::AccumulateKeylessRow(const RowRef& row) {
-  if (keyless_fill_ == 0) {
-    if (keyless_partials_ == nullptr) {
-      keyless_partials_ = RowVector::Make(out_schema_);
-    }
-    keyless_partials_->AppendRow();
-    InitStateAggs(
-        keyless_partials_->mutable_row(keyless_partials_->size() - 1));
-  }
-  UpdateStateRow(keyless_partials_->mutable_row(keyless_partials_->size() - 1),
-                 row);
-  if (++keyless_fill_ == kKeylessChunkRows) keyless_fill_ = 0;
+  });
 }
 
 void ReduceByKey::FinalizeKeyless() {
@@ -956,53 +1074,6 @@ void ReduceByKey::FinalizeKeyless() {
   states_->AppendRaw(keyless_partials_->data());
 }
 
-void ReduceByKey::AccumulateSpan(const uint8_t* rows, size_t n,
-                                 const Schema& schema) {
-  const uint32_t stride = schema.row_size();
-  if (key_cols_.empty()) {
-    const uint8_t* p = rows;
-    for (size_t i = 0; i < n; ++i, p += stride) {
-      AccumulateKeylessRow(RowRef(p, &schema));
-    }
-    return;
-  }
-  if (single_i64_key_) {
-    const uint8_t* p = rows;
-    for (size_t i = 0; i < n; ++i, p += stride) {
-      Accumulate(RowRef(p, &schema));
-    }
-    return;
-  }
-  // Byte keys: the same chunked serialize→hash→probe kernel the parallel
-  // partitions run, against the operator-owned table.
-  const uint32_t ks = codec_.key_size();
-  key_scratch_.resize(kKeyChunkRows * ks);
-  hash_scratch_.resize(kKeyChunkRows);
-  RowSpan span{rows, stride, &schema};
-  for (size_t base = 0; base < n; base += kKeyChunkRows) {
-    const size_t m = std::min(n - base, kKeyChunkRows);
-    if (key_prog_.valid()) {
-      key_prog_.SerializeAndHash(span, base, m, key_scratch_.data(),
-                                 hash_scratch_.data());
-    } else {
-      codec_.SerializeKeys(span, base, m, key_scratch_.data());
-      HashKeysSpan(key_scratch_.data(), m, ks, hash_scratch_.data());
-    }
-    for (size_t i = 0; i < m; ++i) {
-      bool inserted = false;
-      uint32_t state = byte_table_.FindOrInsert(
-          key_scratch_.data() + i * ks, ks, hash_scratch_[i], &inserted);
-      RowRef row(rows + (base + i) * stride, &schema);
-      if (inserted) InitState(states_.get(), row);
-      UpdateStateRow(states_->mutable_row(state), row);
-    }
-  }
-}
-
-void ReduceByKey::AccumulateBulk(const RowVector& rows) {
-  AccumulateSpan(rows.data(), rows.size(), rows.schema());
-}
-
 Status ReduceByKey::ConsumeAll() {
   timer_.Bind(ctx_->stats, timer_key_);
   ScopedPhase phase(&timer_);
@@ -1011,8 +1082,8 @@ Status ReduceByKey::ConsumeAll() {
   // exactly once, whichever path accumulated them.
   if (st.ok() && key_cols_.empty()) FinalizeKeyless();
   if (st.ok()) {
-    mem_charge_.Add(states_->byte_size() + i64_map_.byte_size() +
-                    byte_table_.byte_size());
+    mem_charge_.Add(states_->byte_size() + scratch_.map.byte_size() +
+                    scratch_.table.byte_size());
   }
   return st;
 }
@@ -1039,8 +1110,9 @@ Status ReduceByKey::ConsumeAllInner() {
       const int workers = PlanWorkers(input->size(), ctx_->options);
       if (workers <= 1) {
         // Sizing decision (input too small to split), not a fallback.
-        AccumulateSpan(input->data(), input->size(), input->schema());
-        return Status::OK();
+        return Accumulate(
+            RowSpan{input->data(), input->row_size(), &input->schema()},
+            nullptr, input->size());
       }
       if (key_cols_.empty()) return ConsumeKeylessParallel(input, workers);
       return ConsumeAllParallel(input, workers);
@@ -1050,12 +1122,16 @@ Status ReduceByKey::ConsumeAllInner() {
     // aggregated here.
     RowBatch batch;
     while (child(0)->NextBatchSelective(&batch)) {
-      if (batch.has_selection()) {
-        const size_t n = batch.size();
-        for (size_t i = 0; i < n; ++i) Accumulate(batch.row(i));
-      } else {
-        AccumulateSpan(batch.data(), batch.size(), batch.schema());
+      const uint32_t* sel = batch.selection();
+      if (sel != nullptr) {
+        // Inherited selections cross an operator boundary: defend the
+        // strictly-ascending contract the chunk kernels rely on.
+        MODULARIS_RETURN_NOT_OK(
+            ValidateSelection("ReduceByKey", sel, batch.size()));
       }
+      MODULARIS_RETURN_NOT_OK(Accumulate(
+          RowSpan{batch.data(), batch.row_size(), &batch.schema()}, sel,
+          batch.size()));
     }
     return child(0)->status();
   }
@@ -1067,9 +1143,15 @@ Status ReduceByKey::ConsumeAllInner() {
   while (child(0)->Next(&t)) {
     const Item& item = t[0];
     if (item.is_collection()) {
-      AccumulateBulk(*item.collection());
+      const RowVector& rows = *item.collection();
+      MODULARIS_RETURN_NOT_OK(Accumulate(
+          RowSpan{rows.data(), rows.row_size(), &rows.schema()}, nullptr,
+          rows.size()));
     } else if (item.is_row()) {
-      Accumulate(item.row());
+      const RowRef row = item.row();
+      MODULARIS_RETURN_NOT_OK(Accumulate(
+          RowSpan{row.data(), row.schema().row_size(), &row.schema()},
+          nullptr, 1));
     } else {
       return Status::InvalidArgument(
           "ReduceByKey expects rows or collections, got " + item.ToString());

@@ -18,8 +18,9 @@
 /// \file agg_ops.h
 /// Aggregation, grouping, sorting and top-k sub-operators. ReduceByKey is
 /// the "highly optimized parallel hash map" the paper credits for the Q1 /
-/// Q18 speedups (§5.1.1); here it is an open-addressing table with a
-/// compiled direct-offset update path when fusion is enabled.
+/// Q18 speedups (§5.1.1); here it is an open-addressing table updated
+/// chunk-wise by per-aggregate kernels resolved at Open, with computed
+/// inputs batch-evaluated (bytecode or column kernels) per chunk.
 
 namespace modularis {
 
@@ -148,13 +149,51 @@ class ReduceByKey : public SubOperator {
   /// alias — and the id is a pure function of the key, never of the
   /// worker count, which is what makes the plan deterministic.
   static constexpr int kPartitionBits = 8;
-  /// Rows per serialize+hash+probe chunk of the byte-key paths.
+  /// Rows per chunk of the aggregation kernel: state lookup (serialize,
+  /// hash, probe) for the chunk, then one update pass per aggregate —
+  /// small enough that the chunk's keys, states and inputs stay in L1/L2.
   static constexpr size_t kKeyChunkRows = 1024;
   /// Fixed chunk size of the keyless (scalar Reduce) pairwise combine
   /// tree. A constant — NOT a thread-derived split — so the tree shape,
   /// and with it every float partial sum, is identical at any thread
   /// count and in row-at-a-time mode.
   static constexpr size_t kKeylessChunkRows = 1 << 14;
+
+  /// Per-thread working set of the update kernel: the state tables, one
+  /// chunk's serialized keys, hashes, state indices and input values, and
+  /// the expression scratch. Each worker owns one; the serial paths share
+  /// the operator's.
+  struct AggScratch {
+    I64StateMap map;
+    ByteStateTable table;
+    std::vector<uint8_t> keys;
+    std::vector<uint64_t> hashes;
+    std::vector<uint32_t> states;
+    std::vector<double> vals;
+    BatchScratch batch;
+    BcState bc;
+  };
+  /// Update kernel of one aggregate slot, resolved once at Open from its
+  /// (kind, state type): folds input v[i] into the state row
+  /// base + st[i] * stride at `offset`, for i in [0, n).
+  using UpdateFn = void (*)(uint8_t* base, uint32_t stride, uint32_t offset,
+                            const uint32_t* st, const double* v, size_t n);
+  /// The kernel table (the agg_func(kind) idiom): one instantiation per
+  /// (kind, f64 or i64 state).
+  static UpdateFn ResolveUpdateFn(AggKind kind, bool dst_float);
+  /// Compiled update plan of one aggregate (set up at Open).
+  struct AggSlot {
+    AggKind kind;
+    int src_col;       // -1 for COUNT(*) or a computed input
+    bool src_wide;     // i64/f64 vs i32/date source
+    bool src_float;    // f64 source
+    uint32_t src_offset;
+    uint32_t dst_offset;
+    bool dst_float;
+    UpdateFn update;
+    const Expr* expr;  // computed input: batch-evaluated per chunk
+    std::unique_ptr<BcProgram> prog;  // its bytecode form, when enabled
+  };
 
   Status ConsumeAll();
   Status ConsumeAllInner();
@@ -170,38 +209,51 @@ class ReduceByKey : public SubOperator {
   /// Keyless parallel form: fixed-shape chunk partials combined pairwise
   /// (PairwiseCombineRows), byte-stable at any thread count.
   Status ConsumeKeylessParallel(const RowVectorPtr& input, int workers);
-  void Accumulate(const RowRef& row);
-  void AccumulateBulk(const RowVector& rows);
-  void AccumulateSpan(const uint8_t* rows, size_t n, const Schema& schema);
-  void AccumulateKeylessRow(const RowRef& row);
+  /// Serial accumulation of rows sel[0..n) of `rows` (sel null: rows
+  /// [0, n)) into the operator's states: every serial path — span,
+  /// selective pull and the row-at-a-time Next() path with n = 1.
+  Status Accumulate(const RowSpan& rows, const uint32_t* sel, size_t n);
+  /// Keyless form: rows fold into the current fixed-size chunk partial.
+  Status AccumulateKeyless(const RowSpan& rows, const uint32_t* sel,
+                           size_t n);
   /// Folds the keyless chunk partials through the fixed pairwise tree
   /// into the single output state. No-op when no input arrived.
   void FinalizeKeyless();
   /// Combines one partial state row into another (associative merge).
   void MergeStateRow(uint8_t* dst, const uint8_t* src) const;
-  uint32_t StateFor(const RowRef& row);
   void InitState(RowVector* states, const RowRef& row) const;
   /// Writes the aggregate identity values into a state row (keys
   /// untouched).
   void InitStateAggs(uint8_t* dst) const;
-  void UpdateState(RowVector* states, uint32_t state, const RowRef& row);
-  /// The per-row update against an explicit state row — safe to run from
-  /// worker threads (reads only immutable compiled slots; Expr::Eval is
-  /// thread-safe).
-  void UpdateStateRow(uint8_t* dst, const RowRef& row) const;
+  /// The aggregation kernel, safe to run from worker threads (reads only
+  /// immutable compiled slots; all mutable state is in `s`): rows
+  /// sel[0..n) of `rows` (sel null: rows [0, n)) fold into `states` one
+  /// chunk of kKeyChunkRows at a time — state lookup for the chunk, then
+  /// one update kernel per slot. New groups are appended to `states`;
+  /// with `first` non-null each records its idx[] entry (the global
+  /// first-occurrence index).
+  Status AggregateRows(const RowSpan& rows, const uint32_t* sel, size_t n,
+                       const uint32_t* idx, RowVector* states,
+                       std::vector<uint32_t>* first, AggScratch* s) const;
+  /// Resolves the state of each row sel[0..n) (n <= kKeyChunkRows) into
+  /// s->states, inserting unseen keys.
+  void LookupStates(const RowSpan& rows, const uint32_t* sel, size_t n,
+                    const uint32_t* idx, RowVector* states,
+                    std::vector<uint32_t>* first, AggScratch* s) const;
+  /// Folds rows sel[0..n) into the state rows s->states[0..n): each
+  /// slot's input is loaded (or evaluated) for the whole chunk, then its
+  /// update kernel runs.
+  Status UpdateStates(const RowSpan& rows, const uint32_t* sel, size_t n,
+                      RowVector* states, AggScratch* s) const;
   /// Aggregates the rows of one key partition (ascending original order)
   /// into `states`, recording each new group's global first-occurrence
-  /// index. `map`/`table` are the caller's reusable scratch tables. With
-  /// `reset_tables` false the call continues accumulating into the live
-  /// tables/states — the chunk-streaming path for a spilled partition
-  /// that no remaining hash window can split (one hot key).
-  void AggregatePartition(const uint8_t* rows, size_t n, const Schema& schema,
-                          const uint32_t* idx, RowVector* states,
-                          std::vector<uint32_t>* first, I64StateMap* map,
-                          ByteStateTable* table,
-                          std::vector<uint8_t>* key_scratch,
-                          std::vector<uint64_t>* hash_scratch,
-                          bool reset_tables = true) const;
+  /// index. With `reset_tables` false the call continues accumulating
+  /// into the live tables of `s` — the chunk-streaming path for a spilled
+  /// partition that hashing cannot split.
+  Status AggregatePartition(const uint8_t* rows, size_t n,
+                            const Schema& schema, const uint32_t* idx,
+                            RowVector* states, std::vector<uint32_t>* first,
+                            AggScratch* s, bool reset_tables = true) const;
 
   // -- Grace-style spill path (docs/DESIGN-memory.md) -----------------------
 
@@ -210,13 +262,6 @@ class ReduceByKey : public SubOperator {
   struct AggRun {
     RowVectorPtr states;
     std::vector<uint32_t> first;
-  };
-  /// Reusable scratch threaded through the spill recursion.
-  struct SpillScratch {
-    I64StateMap map;
-    ByteStateTable table;
-    std::vector<uint8_t> keys;
-    std::vector<uint64_t> hashes;
   };
   /// The partition hash of every row — the same key hash the in-memory
   /// partition pass uses, so a key lands in one partition at every pass.
@@ -230,11 +275,17 @@ class ReduceByKey : public SubOperator {
   Status ConsumeAllSpill(RowVectorPtr input);
   /// Aggregates one spilled partition into `out`: read-back when it fits
   /// the quota, recursion by the next 8-bit hash window when it does not,
-  /// chunk-streaming once the hash is exhausted (a single hot key).
+  /// chunk-streaming once a window fails to split it (one hot key) or the
+  /// hash is exhausted.
   Status AggregateSpilledPartition(storage::SpillSet* spill, int pass,
                                    int pid, int shift, size_t part_rows,
                                    const Schema& schema, AggRun* out,
-                                   SpillScratch* scratch);
+                                   AggScratch* scratch);
+  /// Streams a spilled partition's chunks, in order, through one
+  /// accumulating table into `out`.
+  Status StreamSpilledPartition(storage::SpillSet* spill, int pass, int pid,
+                                const Schema& schema, AggRun* out,
+                                AggScratch* scratch);
   /// K-way merge of group runs by ascending first-occurrence index
   /// (the phase-4 merge generalized to arbitrary runs). `first_out` may
   /// be null when the caller does not need the merged index run.
@@ -248,23 +299,10 @@ class ReduceByKey : public SubOperator {
   std::string timer_key_;
   PhaseTimer timer_;
 
-  // Compiled update plan (set up at Open).
-  struct AggSlot {
-    AggKind kind;
-    int src_col;        // -1 for COUNT(*) or non-column expressions
-    bool src_wide;      // i64/f64 vs i32/date source
-    bool src_float;     // f64 source
-    uint32_t src_offset;
-    uint32_t dst_offset;
-    bool dst_float;
-    const Expr* expr;   // fallback evaluation when src_col == -1
-  };
   std::vector<AggSlot> slots_;
-  bool compiled_ = false;
   bool single_i64_key_ = false;
 
   RowVectorPtr states_;
-  I64StateMap i64_map_;
   /// Byte-key machinery shared by the serial and parallel paths:
   /// fixed-stride serialized keys (KeyCodec) probed into the flat
   /// open-addressing ByteStateTable.
@@ -272,9 +310,8 @@ class ReduceByKey : public SubOperator {
   /// Fused serialize+hash bytecode program (invalid when the toggle is
   /// off; falls back to SerializeKeys + HashKeysSpan).
   KeyProgram key_prog_;
-  ByteStateTable byte_table_;
-  std::vector<uint8_t> key_scratch_;
-  std::vector<uint64_t> hash_scratch_;
+  /// The serial paths' tables and kernel scratch.
+  AggScratch scratch_;
 
   /// Keyless (scalar) aggregation: one partial state per fixed-size input
   /// chunk, combined pairwise at finalize.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 
 #include "suboperators/scan_ops.h"
 
@@ -394,55 +395,66 @@ Status MapOp::TransformBatch(const RowBatch& in) {
   } else {
     out_rows_->Clear();
   }
-  // Zero-filled rows, so string padding matches the row path's AppendRow.
-  out_rows_->ResizeRows(n);
-  uint8_t* obase = out_rows_->mutable_data();
+  out_rows_->ResizeRowsUninitialized(n);
   const uint32_t ostride = out_rows_->row_size();
   const Schema& in_schema = in.schema();
   const uint32_t istride = in.row_size();
   const uint8_t* ibase = in.data();
   RowSpan span{ibase, istride, &in_schema};
-  for (size_t c = 0; c < outputs_.size(); ++c) {
-    const MapOutput& spec = outputs_[c];
-    const int col = static_cast<int>(c);
-    const uint32_t ooff = out_schema_.offset(c);
-    if (spec.passthrough_col >= 0) {
-      const uint32_t ioff = in_schema.offset(spec.passthrough_col);
-      switch (in_schema.field(spec.passthrough_col).type) {
-        case AtomType::kInt32:
-        case AtomType::kDate:
-          for (size_t i = 0; i < n; ++i) {
-            std::memcpy(obase + i * ostride + ooff,
-                        ibase + static_cast<size_t>(sel[i]) * istride + ioff,
-                        sizeof(int32_t));
-          }
-          break;
-        case AtomType::kInt64:
-        case AtomType::kFloat64:
-          for (size_t i = 0; i < n; ++i) {
-            std::memcpy(obase + i * ostride + ooff,
-                        ibase + static_cast<size_t>(sel[i]) * istride + ioff,
-                        sizeof(int64_t));
-          }
-          break;
-        case AtomType::kString:
-          // Re-encode through Get/Set so width clamping and padding match
-          // the row path even when in/out widths differ.
-          for (size_t i = 0; i < n; ++i) {
-            RowWriter w(obase + i * ostride, &out_schema_);
-            w.SetString(col, span.row(sel[i]).GetString(spec.passthrough_col));
-          }
-          break;
+  // Blocked projection: all output columns of one kDefaultRows block
+  // before the next block, so the block's input and output rows stay
+  // cache-resident across the column passes.
+  for (size_t b = 0; b < n; b += RowBatch::kDefaultRows) {
+    const size_t m = std::min(n - b, RowBatch::kDefaultRows);
+    const uint32_t* bsel = sel + b;
+    uint8_t* obase = out_rows_->mutable_data() + b * ostride;
+    // Zero-filled rows, so string padding matches the row path's
+    // AppendRow.
+    std::memset(obase, 0, m * ostride);
+    for (size_t c = 0; c < outputs_.size(); ++c) {
+      const MapOutput& spec = outputs_[c];
+      const int col = static_cast<int>(c);
+      const uint32_t ooff = out_schema_.offset(c);
+      if (spec.passthrough_col >= 0) {
+        const uint32_t ioff = in_schema.offset(spec.passthrough_col);
+        switch (in_schema.field(spec.passthrough_col).type) {
+          case AtomType::kInt32:
+          case AtomType::kDate:
+            for (size_t i = 0; i < m; ++i) {
+              std::memcpy(obase + i * ostride + ooff,
+                          ibase + static_cast<size_t>(bsel[i]) * istride + ioff,
+                          sizeof(int32_t));
+            }
+            break;
+          case AtomType::kInt64:
+          case AtomType::kFloat64:
+            for (size_t i = 0; i < m; ++i) {
+              std::memcpy(obase + i * ostride + ooff,
+                          ibase + static_cast<size_t>(bsel[i]) * istride + ioff,
+                          sizeof(int64_t));
+            }
+            break;
+          case AtomType::kString:
+            // Re-encode through Get/Set so width clamping and padding
+            // match the row path even when in/out widths differ.
+            for (size_t i = 0; i < m; ++i) {
+              RowWriter w(obase + i * ostride, &out_schema_);
+              w.SetString(col,
+                          span.row(bsel[i]).GetString(spec.passthrough_col));
+            }
+            break;
+        }
+        continue;
       }
-      continue;
+      BatchColumn* v = expr_scratch_.AcquireColumn();
+      Status st =
+          c < bc_progs_.size() && bc_progs_[c] != nullptr
+              ? bc_progs_[c]->RunValue(span, bsel, m, v, bc_state_.get())
+              : spec.expr->EvalBatch(span, bsel, m, v, &expr_scratch_);
+      if (st.ok()) st = StoreColumn(*v, col, ooff, obase, ostride, m);
+      expr_scratch_.ReleaseColumn();
+      MODULARIS_RETURN_NOT_OK(st);
     }
-    BatchColumn* v = expr_scratch_.AcquireColumn();
-    Status st = c < bc_progs_.size() && bc_progs_[c] != nullptr
-                    ? bc_progs_[c]->RunValue(span, sel, n, v, bc_state_.get())
-                    : spec.expr->EvalBatch(span, sel, n, v, &expr_scratch_);
-    if (st.ok()) st = StoreColumn(*v, col, ooff, obase, ostride, n);
-    expr_scratch_.ReleaseColumn();
-    MODULARIS_RETURN_NOT_OK(st);
   }
   return Status::OK();
 }

@@ -9,7 +9,10 @@
 /// non-numeric predicate results. Plus operator-level regressions for the
 /// selection-vector flow through Filter → Map → ReduceByKey.
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -19,6 +22,9 @@
 #include "core/exec_context.h"
 #include "core/expr.h"
 #include "core/expr_bc.h"
+#include "core/memory.h"
+#include "core/parallel.h"
+#include "storage/blob_store.h"
 #include "suboperators/agg_ops.h"
 #include "suboperators/basic_ops.h"
 #include "suboperators/scan_ops.h"
@@ -831,6 +837,361 @@ TEST(KeyProgramTest, FusedSerializeHashMatchesCodecPlusHashSpan) {
                              want_keys.size()))
         << label;
     ASSERT_EQ(want_hashes, got_hashes) << label;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Compiled aggregate inputs: ReduceByKey evaluates computed inputs per
+// chunk (bytecode value programs, or the EvalBatch kernels with the
+// toggle off). The oracle below folds Expr::Eval per row — the semantics
+// the kernels must reproduce byte for byte on every path: serial span,
+// selective pull, 4-thread partition-parallel, budgeted spill.
+// ---------------------------------------------------------------------------
+
+Schema AggInputSchema() {
+  return Schema({Field::I64("k"), Field::Str("s", 8), Field::F64("x"),
+                 Field::I64("y"), Field::I32("z")});
+}
+
+RowVectorPtr MakeAggInputRows(size_t n, uint32_t seed) {
+  RowVectorPtr rows = RowVector::Make(AggInputSchema());
+  rows->Reserve(n);
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int64_t> key(0, 36);
+  std::uniform_real_distribution<double> real(-100.0, 100.0);
+  std::uniform_int_distribution<int64_t> small(-1000, 1000);
+  for (size_t i = 0; i < n; ++i) {
+    RowWriter w = rows->AppendRow();
+    const int64_t k = key(rng);
+    w.SetInt64(0, k);
+    w.SetString(1, "g" + std::to_string(k % 11));
+    w.SetFloat64(2, real(rng));
+    w.SetInt64(3, small(rng));
+    w.SetInt32(4, static_cast<int32_t>(small(rng)));
+  }
+  return rows;
+}
+
+/// SUM/MIN/MAX/COUNT over computed f64 and i64 inputs, plus a
+/// mixed-type IF (the interpreted kItem batch tier) and a bare column.
+std::vector<AggSpec> ComputedAggs() {
+  using ex::Col;
+  using ex::Lit;
+  return {
+      {AggKind::kSum,
+       ex::Mul(Col(2), ex::Sub(Lit(1.0), ex::Div(Col(3), Lit(5000.0)))),
+       "sum_f", AtomType::kFloat64},
+      {AggKind::kSum, ex::Add(Col(3), ex::Mul(Col(4), Lit(int64_t{3}))),
+       "sum_i", AtomType::kInt64},
+      {AggKind::kMin, ex::Sub(Col(2), Col(4)), "min_f", AtomType::kFloat64},
+      {AggKind::kMax, ex::Mul(Col(3), Col(4)), "max_i", AtomType::kInt64},
+      {AggKind::kMin, ex::Add(Col(3), Lit(int64_t{7})), "min_i",
+       AtomType::kInt64},
+      {AggKind::kMax, ex::Div(Col(2), Lit(3.0)), "max_f", AtomType::kFloat64},
+      {AggKind::kSum, ex::If(ex::Gt(Col(3), Lit(int64_t{0})), Col(2), Col(4)),
+       "sum_if", AtomType::kFloat64},
+      {AggKind::kCount, ex::Add(Col(3), Lit(int64_t{1})), "cnt",
+       AtomType::kInt64},
+      {AggKind::kSum, Col(2), "sum_col", AtomType::kFloat64},
+  };
+}
+
+/// Row-at-a-time Expr::Eval oracle of ReduceByKey: groups in
+/// first-occurrence order, each aggregate folded in row order over the
+/// rows passing `filter`. Keyless input folds into one partial per
+/// `keyless_chunk` rows, combined through the fixed pairwise tree (the
+/// determinism contract of the scalar reduce, docs/DESIGN-parallel.md).
+RowVectorPtr OracleReduce(const RowVector& rows, const std::vector<int>& keys,
+                          const std::vector<AggSpec>& aggs,
+                          const ExprPtr& filter, size_t keyless_chunk) {
+  const Schema out = ReduceByKey::MakeOutputSchema(rows.schema(), keys, aggs);
+  RowVectorPtr states = RowVector::Make(out);
+  auto offset = [&](size_t a) { return out.offset(keys.size() + a); };
+  auto is_f64 = [&](size_t a) {
+    return aggs[a].out_type == AtomType::kFloat64;
+  };
+  auto init = [&](uint8_t* dst) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const AggKind k = aggs[a].kind;
+      if (is_f64(a)) {
+        double v = k == AggKind::kMin   ? kInf
+                   : k == AggKind::kMax ? -kInf
+                                        : 0.0;
+        std::memcpy(dst + offset(a), &v, sizeof(v));
+      } else {
+        int64_t v = k == AggKind::kMin   ? std::numeric_limits<int64_t>::max()
+                    : k == AggKind::kMax ? std::numeric_limits<int64_t>::min()
+                                         : 0;
+        std::memcpy(dst + offset(a), &v, sizeof(v));
+      }
+    }
+  };
+  auto fold = [](AggKind k, auto cur, auto x) {
+    switch (k) {
+      case AggKind::kSum: return cur + x;
+      case AggKind::kCount: return cur + 1;
+      case AggKind::kMin: return std::min(cur, x);
+      case AggKind::kMax: return std::max(cur, x);
+    }
+    return cur;
+  };
+  auto update = [&](uint8_t* dst, const RowRef& row) {
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const double v = aggs[a].kind == AggKind::kCount
+                           ? 0.0
+                           : aggs[a].input->Eval(row).AsDouble();
+      uint8_t* p = dst + offset(a);
+      if (is_f64(a)) {
+        double cur;
+        std::memcpy(&cur, p, sizeof(cur));
+        cur = fold(aggs[a].kind, cur, v);
+        std::memcpy(p, &cur, sizeof(cur));
+      } else {
+        int64_t cur;
+        std::memcpy(&cur, p, sizeof(cur));
+        cur = fold(aggs[a].kind, cur, static_cast<int64_t>(v));
+        std::memcpy(p, &cur, sizeof(cur));
+      }
+    }
+  };
+  auto merge = [&](uint8_t* dst, const uint8_t* src) {
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const AggKind k =
+          aggs[a].kind == AggKind::kCount ? AggKind::kSum : aggs[a].kind;
+      if (is_f64(a)) {
+        double x, y;
+        std::memcpy(&x, dst + offset(a), sizeof(x));
+        std::memcpy(&y, src + offset(a), sizeof(y));
+        x = fold(k, x, y);
+        std::memcpy(dst + offset(a), &x, sizeof(x));
+      } else {
+        int64_t x, y;
+        std::memcpy(&x, dst + offset(a), sizeof(x));
+        std::memcpy(&y, src + offset(a), sizeof(y));
+        x = fold(k, x, y);
+        std::memcpy(dst + offset(a), &x, sizeof(x));
+      }
+    }
+  };
+
+  std::map<std::string, size_t> groups;
+  size_t fill = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const RowRef row = rows.row(i);
+    if (filter != nullptr && !filter->EvalBool(row)) continue;
+    if (keys.empty()) {
+      if (fill == 0) {
+        states->AppendRow();
+        init(states->mutable_row(states->size() - 1));
+      }
+      update(states->mutable_row(states->size() - 1), row);
+      if (++fill == keyless_chunk) fill = 0;
+      continue;
+    }
+    std::string key;
+    for (int c : keys) {
+      key += rows.schema().field(c).type == AtomType::kString
+                 ? std::string(row.GetString(c))
+                 : std::to_string(row.GetInt64(c));
+      key += '\x1f';
+    }
+    auto [it, inserted] = groups.emplace(key, states->size());
+    if (inserted) {
+      RowWriter w = states->AppendRow();
+      for (size_t j = 0; j < keys.size(); ++j) {
+        const int c = keys[j];
+        if (rows.schema().field(c).type == AtomType::kString) {
+          w.SetString(static_cast<int>(j), row.GetString(c));
+        } else {
+          w.SetInt64(static_cast<int>(j), row.GetInt64(c));
+        }
+      }
+      init(states->mutable_row(states->size() - 1));
+    }
+    update(states->mutable_row(it->second), row);
+  }
+  if (keys.empty() && states->size() > 1) {
+    PairwiseCombineRows(states->mutable_data(), states->size(),
+                        states->row_size(), merge);
+    RowVectorPtr one = RowVector::Make(out);
+    one->AppendRaw(states->data());
+    return one;
+  }
+  return states;
+}
+
+struct AggRunConfig {
+  int threads = 1;
+  size_t memory_limit = 0;
+  bool bytecode = true;
+  bool selective = false;
+  bool vectorized = true;
+  std::string Label() const {
+    return "threads=" + std::to_string(threads) +
+           " limit=" + std::to_string(memory_limit) +
+           " bytecode=" + std::to_string(bytecode) +
+           " selective=" + std::to_string(selective) +
+           " vectorized=" + std::to_string(vectorized);
+  }
+};
+
+ExprPtr AggTestFilter() {
+  return ex::Or(ex::Lt(ex::Col(3), ex::Lit(int64_t{200})),
+                ex::Eq(ex::Col(1), ex::Lit("g3")));
+}
+
+/// One ReduceByKey run under `cfg`; the input arrives as two batches, so
+/// the drained (parallel / budgeted) paths build a fresh vector.
+RowVectorPtr RunComputedReduce(const RowVectorPtr& data,
+                               const std::vector<int>& keys,
+                               const AggRunConfig& cfg,
+                               StatsRegistry* stats) {
+  const size_t half = data->size() / 2;
+  RowVectorPtr a = RowVector::Make(data->schema());
+  RowVectorPtr b = RowVector::Make(data->schema());
+  a->AppendRawBatch(data->data(), half);
+  b->AppendRawBatch(data->row(half).data(), data->size() - half);
+  SubOpPtr input = std::make_unique<RowScan>(std::make_unique<CollectionSource>(
+      std::vector<RowVectorPtr>{a, b}));
+  if (cfg.selective) {
+    input = std::make_unique<Filter>(std::move(input), AggTestFilter());
+  }
+  ReduceByKey rk(std::move(input), keys, ComputedAggs(), data->schema());
+  storage::BlobStore store;
+  MemoryBudget budget(cfg.memory_limit);
+  ExecContext ctx;
+  ctx.options.num_threads = cfg.threads;
+  ctx.options.parallel_min_rows = 256;
+  ctx.options.morsel_rows = 512;
+  ctx.options.enable_expr_bytecode = cfg.bytecode;
+  ctx.options.enable_vectorized = cfg.vectorized;
+  ctx.options.memory_limit_bytes = cfg.memory_limit;
+  ctx.budget = &budget;
+  ctx.spill_store = &store;
+  ctx.stats = stats;
+  RowVectorPtr out = RowVector::Make(rk.out_schema());
+  EXPECT_TRUE(rk.Open(&ctx).ok());
+  Tuple t;
+  while (rk.Next(&t)) out->AppendRaw(t[0].row().data());
+  EXPECT_TRUE(rk.status().ok()) << rk.status().ToString();
+  EXPECT_TRUE(rk.Close().ok());
+  EXPECT_TRUE(store.List("spill/").empty()) << "spill files leaked";
+  return out;
+}
+
+TEST(AggregateInputTest, ComputedInputsMatchEvalOracleOnEveryPath) {
+  // 40k rows: many kernel chunks, three keyless partials, and (at a
+  // 256KB budget) a spill whose partitions stream through the kernel.
+  RowVectorPtr data = MakeAggInputRows(40000, 41);
+  const std::vector<std::vector<int>> key_shapes = {{0}, {1}, {1, 0}, {}};
+  for (const std::vector<int>& keys : key_shapes) {
+    for (bool selective : {false, true}) {
+      RowVectorPtr want =
+          OracleReduce(*data, keys, ComputedAggs(),
+                       selective ? AggTestFilter() : nullptr, 1 << 14);
+      ASSERT_GT(want->size(), 0u);
+      for (int threads : {1, 4}) {
+        for (size_t limit : {size_t{0}, size_t{256} << 10}) {
+          for (bool bytecode : {true, false}) {
+            AggRunConfig cfg;
+            cfg.threads = threads;
+            cfg.memory_limit = limit;
+            cfg.bytecode = bytecode;
+            cfg.selective = selective;
+            StatsRegistry stats;
+            RowVectorPtr got = RunComputedReduce(data, keys, cfg, &stats);
+            const std::string label =
+                "keys=" + std::to_string(keys.size()) + " " + cfg.Label();
+            ASSERT_EQ(want->size(), got->size()) << label;
+            ASSERT_EQ(0, std::memcmp(want->data(), got->data(),
+                                     want->byte_size()))
+                << label;
+            if (limit > 0 && !keys.empty()) {
+              EXPECT_EQ(stats.GetCounter("spill.ops.ReduceByKey"), 1)
+                  << label;
+            }
+          }
+        }
+      }
+      // Row-at-a-time pulls: the kernel at n = 1.
+      AggRunConfig row_cfg;
+      row_cfg.vectorized = false;
+      row_cfg.selective = selective;
+      StatsRegistry stats;
+      RowVectorPtr got = RunComputedReduce(data, keys, row_cfg, &stats);
+      ASSERT_EQ(want->size(), got->size()) << row_cfg.Label();
+      ASSERT_EQ(0,
+                std::memcmp(want->data(), got->data(), want->byte_size()))
+          << row_cfg.Label();
+    }
+  }
+}
+
+TEST(AggregateInputTest, NonNumericInputIsATypeErrorNotACrash) {
+  RowVectorPtr data = MakeAggInputRows(100, 5);
+  // The IF yields a string for rows with y > 0.
+  const std::vector<AggSpec> aggs = {
+      {AggKind::kSum,
+       ex::If(ex::Gt(ex::Col(3), ex::Lit(int64_t{0})), ex::Col(1),
+              ex::Col(2)),
+       "t", AtomType::kFloat64}};
+  for (bool bytecode : {true, false}) {
+    ReduceByKey rk(ScanOf(data), {0}, aggs, data->schema());
+    ExecContext ctx;
+    ctx.options.enable_expr_bytecode = bytecode;
+    ASSERT_TRUE(rk.Open(&ctx).ok());
+    Tuple t;
+    while (rk.Next(&t)) {
+    }
+    EXPECT_FALSE(rk.status().ok());
+    EXPECT_NE(rk.status().ToString().find("non-numeric"), std::string::npos)
+        << rk.status().ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Blocked Map projection
+// ---------------------------------------------------------------------------
+
+/// Map's batch path projects kDefaultRows-row blocks; a batch several
+/// blocks long, under a selection, with passthrough and computed string
+/// columns (width clamping included), must equal the row path.
+TEST(SelectionFlowTest, BlockedMapSpansBlocksWithSelection) {
+  std::mt19937_64 rng(77);
+  RowVectorPtr data = MakeRows(&rng, 7000);
+  Schema out({Field::Str("s_narrow", 3), Field::I64("a"), Field::Str("s", 8),
+              Field::F64("q"), Field::Date("d"), Field::Str("pick", 8)});
+  std::vector<MapOutput> outputs = {
+      MapOutput::Pass(2), MapOutput::Pass(0), MapOutput::Pass(2),
+      MapOutput::Compute(ex::Mul(ex::Col(1), ex::Col(3))), MapOutput::Pass(4),
+      MapOutput::Compute(ex::If(ex::Gt(ex::Col(0), ex::Lit(int64_t{0})),
+                                ex::Col(2), ex::Lit("neg")))};
+  for (bool selective : {false, true}) {
+    RowVectorPtr baseline, got;
+    for (bool vectorized : {false, true}) {
+      SubOpPtr input = ScanOf(data);
+      if (selective) {
+        input = std::make_unique<Filter>(
+            std::move(input), ex::Ne(ex::Col(0), ex::Lit(int64_t{7})));
+      }
+      ExecContext ctx;
+      ctx.options.enable_vectorized = vectorized;
+      MaterializeRowVector mat(
+          std::make_unique<MapOp>(std::move(input), out, outputs), out);
+      ASSERT_TRUE(mat.Open(&ctx).ok());
+      Tuple t;
+      ASSERT_TRUE(mat.Next(&t));
+      ASSERT_TRUE(mat.status().ok()) << mat.status().ToString();
+      ASSERT_TRUE(mat.Close().ok());
+      (vectorized ? got : baseline) = t[0].collection();
+    }
+    ASSERT_GT(baseline->size(), 3 * RowBatch::kDefaultRows);
+    if (selective) ASSERT_LT(baseline->size(), data->size());
+    ASSERT_EQ(baseline->size(), got->size());
+    ASSERT_EQ(0, std::memcmp(baseline->data(), got->data(),
+                             baseline->byte_size()))
+        << "selective=" << selective;
   }
 }
 

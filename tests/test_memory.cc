@@ -264,6 +264,81 @@ TEST(SpillAggTest, OversizedPartitionsRecurse) {
   EXPECT_TRUE(run.store.List("spill/").empty());
 }
 
+TEST(SpillAggTest, MultiBatchDrainSpillsFromItsOwnSchema) {
+  // Two input batches: the drain builds a fresh vector that is the only
+  // owner of its schema, and the spill path releases that vector before
+  // aggregating its partitions (the partition passes must not read the
+  // released schema; ASan flags the use-after-free).
+  RowVectorPtr data = MakeKv(1 << 15, 1 << 10, 19);
+  RowVectorPtr a = RowVector::Make(KeyValueSchema());
+  RowVectorPtr b = RowVector::Make(KeyValueSchema());
+  a->AppendRawBatch(data->data(), data->size() / 2);
+  b->AppendRawBatch(data->row(data->size() / 2).data(),
+                    data->size() - data->size() / 2);
+
+  RowVectorPtr expected;
+  {
+    BudgetedRun run(0);
+    ReduceByKey rk(ScanOf(data), {0}, SumCountAggs(), KeyValueSchema());
+    ASSERT_TRUE(
+        DrainBatches(&rk, &run.ctx, rk.out_schema(), &expected).ok());
+  }
+  for (int threads : {1, 4}) {
+    BudgetedRun run(64 << 10);
+    run.ctx.options.num_threads = threads;
+    RowVectorPtr actual;
+    {
+      ReduceByKey rk(std::make_unique<RowScan>(
+                         std::make_unique<CollectionSource>(
+                             std::vector<RowVectorPtr>{a, b})),
+                     {0}, SumCountAggs(), KeyValueSchema());
+      ASSERT_TRUE(
+          DrainBatches(&rk, &run.ctx, rk.out_schema(), &actual).ok());
+    }
+    ExpectBytesEqual(*expected, *actual);
+    EXPECT_EQ(run.stats.GetCounter("spill.ops.ReduceByKey"), 1);
+    EXPECT_TRUE(run.store.List("spill/").empty());
+  }
+}
+
+TEST(SpillAggTest, UnsplittablePartitionsStreamWithoutRecursing) {
+  // Four keys, each filling one first-pass partition far beyond the
+  // quota. A re-scatter cannot split a single key, so each partition
+  // gets one re-scatter pass and then streams; it must not re-scatter
+  // once per remaining hash window (seven more passes per key).
+  constexpr int kKeys = 4;
+  RowVectorPtr data = MakeKv(1 << 15, kKeys, 23);
+  RowVectorPtr expected;
+  {
+    BudgetedRun run(0);
+    ReduceByKey rk(ScanOf(data), {0}, SumCountAggs(), KeyValueSchema());
+    ASSERT_TRUE(
+        DrainBatches(&rk, &run.ctx, rk.out_schema(), &expected).ok());
+  }
+  ASSERT_EQ(expected->size(), static_cast<size_t>(kKeys));
+  for (int threads : {1, 4}) {
+    // 64KB: a 16KB quota against ~128KB per key partition.
+    BudgetedRun run(64 << 10);
+    run.ctx.options.num_threads = threads;
+    RowVectorPtr actual;
+    {
+      ReduceByKey rk(ScanOf(data), {0}, SumCountAggs(), KeyValueSchema());
+      ASSERT_TRUE(
+          DrainBatches(&rk, &run.ctx, rk.out_schema(), &actual).ok());
+    }
+    ExpectBytesEqual(*expected, *actual);
+    // The first pass plus at most one re-scatter per key.
+    EXPECT_GE(run.stats.GetCounter("spill.passes"), 2);
+    EXPECT_LE(run.stats.GetCounter("spill.passes"), 1 + kKeys);
+    // Each row is written twice (first pass, re-scatter): its bytes, its
+    // u32 index, and at worst a u32 chunk header of its own.
+    const size_t row_bytes = data->row_size() + 2 * sizeof(uint32_t);
+    EXPECT_LE(run.stats.GetCounter("spill.bytes"),
+              static_cast<int64_t>(2 * data->size() * row_bytes));
+    EXPECT_TRUE(run.store.List("spill/").empty());
+  }
+}
+
 TEST(SpillSortTest, ExternalSortIsByteEqual) {
   // 50k rows at a 16KB budget: 4KB quota -> 256-row runs -> ~196 runs,
   // deep enough that the cascade merge runs intermediate passes too.

@@ -404,7 +404,7 @@ std::vector<AggSpec> MixedAggs() {
   aggs.push_back(AggSpec{AggKind::kCount, nullptr, "c", AtomType::kInt64});
   aggs.push_back(AggSpec{AggKind::kMin, ex::Col(1), "mn", AtomType::kInt64});
   aggs.push_back(AggSpec{AggKind::kMax, ex::Col(2), "mx", AtomType::kFloat64});
-  // Computed input: exercises the Expr::Eval update path on workers.
+  // Computed input: exercises the compiled per-chunk input path on workers.
   aggs.push_back(AggSpec{AggKind::kSum,
                          ex::Mul(ex::Col(2), ex::Lit(2.0)), "s2",
                          AtomType::kFloat64});

@@ -1091,5 +1091,98 @@ TEST(PlannerFuzz, OptimizedLoweringMatchesDirectLowering) {
   }
 }
 
+// ===========================================================================
+// 4. kMemoryRows scan leaf: the scan filter runs on the table rows, under
+//    the prune Map; a filter that cannot be remapped stays above it.
+// ===========================================================================
+
+/// `$col < bound` over an f64 column, as an opaque leaf: it exposes no
+/// children, so RemapColumns cannot move it onto other column indices.
+class OpaqueLess : public Expr {
+ public:
+  OpaqueLess(int col, double bound) : col_(col), bound_(bound) {}
+  Item Eval(const RowRef& row) const override {
+    return Item(int64_t{row.GetFloat64(col_) < bound_});
+  }
+  void CollectColumns(std::vector<int>* cols) const override {
+    cols->push_back(col_);
+  }
+  std::string ToString() const override {
+    return "opaque($" + std::to_string(col_) + " < " +
+           std::to_string(bound_) + ")";
+  }
+
+ private:
+  int col_;
+  double bound_;
+};
+
+planner::LogicalPlanPtr ScanFilterAggregate(ExprPtr pred) {
+  return lp::Aggregate(
+      lp::Filter(lp::Scan(0, "lineitem", LineitemSchema()), std::move(pred)),
+      {l::kLineNumber},
+      {AggSpec{AggKind::kSum, ex::Col(l::kOrderKey), "sk", AtomType::kInt64},
+       AggSpec{AggKind::kCount, nullptr, "n", AtomType::kInt64}});
+}
+
+/// The operator named on the line below the first line naming `op` in an
+/// EXPLAIN tree (its first child), or "" when there is none.
+std::string FirstChildOf(const std::string& explain, const std::string& op) {
+  std::istringstream in(explain);
+  std::string line;
+  bool found = false;
+  while (std::getline(in, line)) {
+    const std::string name = line.substr(line.find_first_not_of(' '));
+    if (found) return name;
+    found = name == op;
+  }
+  return "";
+}
+
+std::string LowerMemoryRows(const planner::LogicalPlanPtr& root) {
+  planner::LogicalPlanPtr opt =
+      planner::Optimize(root, planner::PlannerOptions{}, nullptr);
+  auto split = planner::SplitAtDriver(opt);
+  if (!split.ok()) return "";
+  planner::LoweringContext lctx;
+  lctx.scan_leaf = planner::ScanLeafKind::kMemoryRows;
+  lctx.world = 4;
+  lctx.exec.network_radix_bits = 4;
+  lctx.tag = "scan";
+  PipelinePlan plan;
+  auto lowered =
+      planner::LowerRankPlan(*split.value().rank_root, &plan, &lctx);
+  if (!lowered.ok()) return "";
+  return planner::ExplainPhysical(plan);
+}
+
+TEST(PlannerLowering, MemoryRowsScanFiltersBeforePruning) {
+  const std::string remapped =
+      LowerMemoryRows(ScanFilterAggregate(ex::Lt(ex::Col(l::kQuantity),
+                                                 ex::Lit(25.0))));
+  EXPECT_EQ(FirstChildOf(remapped, "Map"), "Filter") << remapped;
+  EXPECT_EQ(FirstChildOf(remapped, "Filter"), "RowScan") << remapped;
+
+  const std::string opaque = LowerMemoryRows(ScanFilterAggregate(
+      std::make_shared<OpaqueLess>(l::kQuantity, 25.0)));
+  EXPECT_EQ(FirstChildOf(opaque, "Filter"), "Map") << opaque;
+  EXPECT_EQ(FirstChildOf(opaque, "Map"), "RowScan") << opaque;
+
+  // Both orders compute the same result.
+  TpchRunOptions opts = Unthrottled(TpchRunOptions::Rdma(2));
+  auto ctx = PrepareTpch(Db(), opts);
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+  auto a = RunLogical(ScanFilterAggregate(ex::Lt(ex::Col(l::kQuantity),
+                                                 ex::Lit(25.0))),
+                      **ctx, opts, /*optimize=*/true);
+  auto b = RunLogical(
+      ScanFilterAggregate(std::make_shared<OpaqueLess>(l::kQuantity, 25.0)),
+      **ctx, opts, /*optimize=*/true);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ASSERT_GT((*a)->size(), 0u);
+  ExpectBytesEqual(**a, **b);
+}
+
 }  // namespace
 }  // namespace modularis::tpch
